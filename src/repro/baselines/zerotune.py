@@ -53,11 +53,21 @@ class ZeroTuneCostModel:
         return self
 
     def predict(self, dag: DataflowDAG, rates: dict[str, float], parallelism: dict[str, int]) -> float:
+        return self.predict_many(dag, rates, [parallelism])[0]
+
+    def predict_many(
+        self, dag: DataflowDAG, rates: dict[str, float], candidates: list[dict[str, int]]
+    ) -> list[float]:
+        """Predicted cost of each parallelism candidate; the DAG is
+        encoded once, since only the parallelism column differs."""
         order, x = self.fe.encode_dag(dag, rates)
         a_in, a_out = adjacency(dag, order)
-        p = self.fe.scale_parallelism([parallelism.get(o, 1) for o in order])
-        s = GraphSample(x=_augment(x, p), a_in=a_in, a_out=a_out)
-        return float(self.gnn.forward(s)[0])
+        costs = []
+        for parallelism in candidates:
+            p = self.fe.scale_parallelism([parallelism.get(o, 1) for o in order])
+            s = GraphSample(x=_augment(x, p), a_in=a_in, a_out=a_out)
+            costs.append(float(self.gnn.forward(s)[0]))
+        return costs
 
 
 class ZeroTuneTuner:
@@ -86,7 +96,7 @@ class ZeroTuneTuner:
             candidates.append(
                 {o: int(rng.integers(1, self.wl.p_max + 1)) for o in ops}
             )
-        costs = [self.model.predict(self.wl.dag, rates, c) for c in candidates]
+        costs = self.model.predict_many(self.wl.dag, rates, candidates)
         best = candidates[int(np.argmin(costs))]
         changed = any(best[o] != current.get(o, 1) for o in ops)
         self._deploys += 1

@@ -128,15 +128,13 @@ def pretrain(
         [(dag, r.rates) for dag, r in zip(dags, records)], p_max=p_max
     )
     if k is None:
-        # Elbow over distinct structures only (identical DAGs add nothing).
-        seen: set[str] = set()
-        distinct = []
+        # Elbow over distinct structures only (identical DAGs add nothing),
+        # in canonical-key order so that k does not depend on the order
+        # of the history records.
+        distinct: dict[str, DataflowDAG] = {}
         for d in dags:
-            ck = d.canonical_key()
-            if ck not in seen:
-                seen.add(ck)
-                distinct.append(d)
-        k = elbow_k(distinct, tau=tau, seed=seed)
+            distinct.setdefault(d.canonical_key(), d)
+        k = elbow_k([distinct[ck] for ck in sorted(distinct)], tau=tau, seed=seed)
     clust = kmeans_ged(dags, k, tau=tau, seed=seed, spark=spark)
     cluster_records: list[list[HistoryRecord]] = [[] for _ in range(k)]
     for rec, a in zip(records, clust.assignments):

@@ -9,7 +9,7 @@ dataset. Each call to :meth:`tune` reacts to a source-rate change:
     fit the monotone model M_f to T;
     for each operator v in topological order:
         h_v  = parallelism-agnostic embedding from the frozen encoder;
-        p_v  = min{p ≤ p_max | M_f(h_v, p) = 0}      (binary search);
+        p_v  = min{p ≤ p_max | M_f(h_v, p) = 0}      (one p-grid call);
     redeploy with {p_v}; collect bottleneck labels ΔT; T ← T ∪ ΔT;
   while backpressure persists or the recommendation changed;
 
@@ -191,24 +191,21 @@ class StreamTuneTuner:
     def dataset_size(self) -> int:
         return len(self._y)
 
-    def _recommend(self, emb, model, threshold: float) -> dict[str, int] | None:
+    def _recommend(self, emb, model, *thresholds: float) -> list[dict[str, int]]:
         """Minimum safe parallelism per operator in topological order
-        (Alg. 2, lines 6–8)."""
-        if model is None:
-            return None
+        (Alg. 2, lines 6–8), one recommendation per threshold, all read
+        from one probability grid per operator."""
         fe = self.bundle.feature_encoder
         tunable = set(self.wl.dag.tunable_operators())
-        rec: dict[str, int] = {}
+        recs: list[dict[str, int]] = [{} for _ in thresholds]
         for oid in self.wl.dag.topological_order():  # line 6
             if oid in tunable:
-                rec[oid] = min_safe_parallelism(  # line 8
-                    model,
-                    emb[oid],
-                    self.wl.p_max,
-                    lambda p: float(fe.scale_parallelism(p)),
-                    threshold=threshold,
+                ps = min_safe_parallelism(  # line 8
+                    model, emb[oid], self.wl.p_max, fe.scale_parallelism, threshold=thresholds
                 )
-        return rec
+                for rec, p in zip(recs, ps):
+                    rec[oid] = p
+        return recs
 
     def _deploy(self, par: dict[str, int], rates, emb):
         self._deploy_counter += 1
@@ -332,13 +329,12 @@ class StreamTuneTuner:
             if self._visit_count[key] % 2 == 0:
                 return res
             model = self._fit_model()
-            rec = self._recommend(emb, model, self.trim_threshold)
-            if rec is None:
+            if model is None:
                 return res
             # Trust gate: where the neutral (0.5) and conservative
             # boundaries disagree, the model is uncertain about this
             # operator — trim no lower than the conservative one.
-            rec_cons = self._recommend(emb, model, self.safe_threshold)
+            rec, rec_cons = self._recommend(emb, model, self.trim_threshold, self.safe_threshold)
             floors = self._transferred_floor(key)
             stepped: dict[str, int] = {}
             for o in rec:
@@ -381,12 +377,12 @@ class StreamTuneTuner:
         margin = self.first_shot_margin
         for it in range(1, self.max_iters + 1):
             model = self._fit_model()
-            rec = self._recommend(emb, model, self.safe_threshold)
             floors = self._transferred_floor(key)
             caps = self._transferred_cap(key)
-            if rec is None:
+            if model is None:
                 rec = {o: par.get(o, 1) for o in self.wl.dag.tunable_operators()}
             else:
+                (rec,) = self._recommend(emb, model, self.safe_threshold)
                 # +1 absolute slack: multiplicative margins are toothless
                 # at small degrees (ceil(2 · 1.4) is still only 3). Floors
                 # and caps transfer across rates by monotonicity.

@@ -29,6 +29,7 @@ Everything is deterministic in ``(dag, parallelism, rates, seed)``.
 """
 from __future__ import annotations
 
+import functools
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -100,14 +101,23 @@ USEFUL_TIME_BIAS_PARAMS = {
 def useful_time_bias(dag_name: str, op) -> float:
     """Deterministic systematic bias on the observed busy fraction for
     one operator of one job."""
-    if op.op_type in ("source", "sink"):
+    return _useful_time_bias(dag_name, op.op_id, op.op_type)
+
+
+@functools.lru_cache(maxsize=8192)
+def _useful_time_bias(dag_name: str, op_id: str, op_type: str) -> float:
+    # Cached: seeding an RNG per operator per simulate() call cost about a
+    # quarter of simulate(), and the value is constant per (job, op).
+    if op_type in ("source", "sink"):
         return 0.0
-    kind = "stateful" if op.op_type in _STATEFUL else "stateless"
+    kind = "stateful" if op_type in _STATEFUL else "stateless"
     mean, sd, lo, hi = USEFUL_TIME_BIAS_PARAMS[kind]
     rng = np.random.default_rng(
-        zlib.crc32(f"bias|{dag_name}|{op.op_id}".encode())
+        zlib.crc32(f"bias|{dag_name}|{op_id}".encode())
     )
     return float(np.clip(rng.normal(mean, sd), lo, hi))
+
+
 #: Deployment-level jitter on true operator rates (system variance).
 RATE_JITTER_STD = 0.015
 #: Fraction of idle time that Timely's spinning workers report as busy.

@@ -3,12 +3,175 @@ import numpy as np
 import pytest
 
 from repro.core.monotonic import (
+    _QUANTILES,
     MonotoneGBDT,
     MonotoneSVM,
     PlainNN,
+    _balanced_weights,
+    _sigmoid,
     make_model,
     min_safe_parallelism,
+    split_candidates,
 )
+
+
+# -- reference implementations ----------------------------------------------
+class _TreeNode:
+    __slots__ = ("feature", "threshold", "left", "right", "value")
+
+    def __init__(self):
+        self.feature = -1
+        self.threshold = 0.0
+        self.left = None
+        self.right = None
+        self.value = 0.0
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        if self.left is None:
+            return np.full(len(X), self.value)
+        mask = X[:, self.feature] <= self.threshold
+        out = np.empty(len(X))
+        out[mask] = self.left.predict(X[mask])
+        out[~mask] = self.right.predict(X[~mask])
+        return out
+
+    def preorder(self):
+        """(feature, threshold, value) of every node, root first."""
+        yield self.feature, self.threshold, self.value
+        if self.left is not None:
+            yield from self.left.preorder()
+            yield from self.right.preorder()
+
+
+class ReferenceGBDT:
+    """The serial monotone GBDT builder: per node and sampled feature,
+    ``np.unique`` and ``np.quantile`` for the candidate thresholds, then
+    four masked sums per threshold. :class:`MonotoneGBDT` must build the
+    same trees."""
+
+    def __init__(self, *, n_rounds=40, max_depth=4, eta=0.3, lam=1.0, min_child=1e-3, colsample=0.35, seed=0):
+        self.n_rounds, self.max_depth, self.eta = n_rounds, max_depth, eta
+        self.lam, self.min_child, self.colsample = lam, min_child, colsample
+        self._rng = np.random.default_rng(seed)
+        self.trees: list[_TreeNode] = []
+        self.base = 0.0
+
+    def _leaf_value(self, g, hs, lo, hi):
+        return float(np.clip(-g / (hs + self.lam), lo, hi))
+
+    def _build(self, X, g, h, depth, lo, hi, p_idx, feats) -> _TreeNode:
+        node = _TreeNode()
+        node.value = self._leaf_value(g.sum(), h.sum(), lo, hi)
+        if depth >= self.max_depth or len(X) < 4:
+            return node
+        best_gain = 1e-6
+        best = None
+        parent_score = (g.sum() ** 2) / (h.sum() + self.lam)
+        for f in feats:
+            xs = np.unique(X[:, f])
+            if len(xs) < 2:
+                continue
+            cands = (xs[:-1] + xs[1:]) / 2.0
+            if len(cands) > 8:
+                cands = np.quantile(cands, np.linspace(0.05, 0.95, 8))
+            for thr in cands:
+                mask = X[:, f] <= thr
+                gl, hl = g[mask].sum(), h[mask].sum()
+                gr, hr = g[~mask].sum(), h[~mask].sum()
+                if hl < self.min_child or hr < self.min_child:
+                    continue
+                if f == p_idx:
+                    wl = self._leaf_value(gl, hl, lo, hi)
+                    wr = self._leaf_value(gr, hr, lo, hi)
+                    if wl < wr:
+                        continue
+                gain = gl**2 / (hl + self.lam) + gr**2 / (hr + self.lam) - parent_score
+                if gain > best_gain:
+                    best_gain = gain
+                    best = (f, thr, mask)
+        if best is None:
+            return node
+        f, thr, mask = best
+        node.feature, node.threshold = f, float(thr)
+        if f == p_idx:
+            wl = self._leaf_value(g[mask].sum(), h[mask].sum(), lo, hi)
+            wr = self._leaf_value(g[~mask].sum(), h[~mask].sum(), lo, hi)
+            mid = 0.5 * (wl + wr)
+            node.left = self._build(X[mask], g[mask], h[mask], depth + 1, mid, hi, p_idx, feats)
+            node.right = self._build(X[~mask], g[~mask], h[~mask], depth + 1, lo, mid, p_idx, feats)
+        else:
+            node.left = self._build(X[mask], g[mask], h[mask], depth + 1, lo, hi, p_idx, feats)
+            node.right = self._build(X[~mask], g[~mask], h[~mask], depth + 1, lo, hi, p_idx, feats)
+        return node
+
+    def fit(self, h, p, y, sample_weight=None):
+        X = np.column_stack([h, p])
+        y = np.asarray(y, dtype=float)
+        w = _balanced_weights(y, sample_weight)
+        pos = float(np.clip((w * y).sum() / w.sum(), 1e-3, 1 - 1e-3))
+        self.base = float(np.log(pos / (1 - pos)))
+        f = np.full(len(y), self.base)
+        p_idx = X.shape[1] - 1
+        n_emb = X.shape[1] - 1
+        n_take = max(4, int(np.ceil(self.colsample * n_emb)))
+        for _ in range(self.n_rounds):
+            prob = _sigmoid(f)
+            grad = w * (prob - y)
+            hess = np.maximum(w * prob * (1 - prob), 1e-6)
+            feats = list(self._rng.choice(n_emb, size=min(n_take, n_emb), replace=False))
+            feats.append(p_idx)
+            tree = self._build(X, grad, hess, 0, -4.0, 4.0, p_idx, feats)
+            self.trees.append(tree)
+            f = f + self.eta * tree.predict(X)
+        return self
+
+    def decision(self, h, p):
+        X = np.column_stack([np.atleast_2d(h), np.atleast_1d(p)])
+        f = np.full(len(X), self.base)
+        for tree in self.trees:
+            f = f + self.eta * tree.predict(X)
+        return f
+
+    def predict_proba(self, h, p):
+        return _sigmoid(self.decision(h, p))
+
+
+def reference_search(model, h, p_max, scale, threshold=0.5):
+    """Algorithm 2 line 8 with one-row probes: binary search for a
+    monotone model, linear scan otherwise."""
+    h2 = np.atleast_2d(h)
+
+    def is_safe(p):
+        return float(model.predict_proba(h2, np.array([scale(p)]))[0]) <= threshold
+
+    if model.is_monotone:
+        lo, hi = 1, p_max
+        if not is_safe(hi):
+            return p_max
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if is_safe(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+    for p in range(1, p_max + 1):
+        if is_safe(p):
+            return p
+    return p_max
+
+
+def flat_preorder(tree):
+    """(feature, threshold, value) of every node of a flat tree, root
+    first, in the reference's order."""
+    feature, threshold, left, right, value = tree
+    out, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        out.append((int(feature[i]), float(threshold[i]), float(value[i])))
+        if feature[i] >= 0:
+            stack += [right[i], left[i]]
+    return out
 
 
 def _boundary_data(n=600, d=6, seed=0):
@@ -166,3 +329,108 @@ class TestMinSafeParallelism:
 
         p = min_safe_parallelism(Bumpy(), np.zeros(2), 100, lambda q: q / 100.0)
         assert p == 1  # scan stops at the first hole — the NN failure mode
+
+
+# -- the vectorised GBDT against the serial reference -------------------------
+def _tied_data(seed, n=300, labels="boundary"):
+    """Embeddings full of exact ties: duplicated and affine-correlated
+    columns, columns with few distinct values, a constant column, and a
+    parallelism feature on a coarse grid. ``bump`` labels reward
+    non-monotone splits, so the monotone check and leaf bounds bind."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(n, 3))
+    h = np.column_stack(
+        [
+            base[:, 0],
+            base[:, 0],
+            2.0 * base[:, 0] + 1.0,
+            np.round(base[:, 1], 1),
+            rng.integers(0, 3, n).astype(float),
+            np.full(n, 0.5),
+            base[:, 2],
+            -0.5 * base[:, 2],
+        ]
+    )
+    p = rng.integers(1, 41, n) / 40.0
+    if labels == "bump":
+        y = ((p > 0.3) & (p < 0.6)).astype(int)
+    else:
+        y = (p < 0.3 + 0.2 * (base[:, 0] > 0)).astype(int)
+    y ^= (rng.uniform(size=n) < 0.1).astype(int)
+    w = rng.choice([1.0, 5.0], size=n)
+    return h, p, y, w
+
+
+class TestGBDTMatchesReference:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("labels", ["boundary", "bump"])
+    def test_identical_trees(self, seed, labels):
+        h, p, y, w = _tied_data(seed, labels=labels)
+        new = MonotoneGBDT(seed=seed, n_rounds=12).fit(h, p, y, sample_weight=w)
+        ref = ReferenceGBDT(seed=seed, n_rounds=12).fit(h, p, y, sample_weight=w)
+        assert len(new.trees) == len(ref.trees)
+        for flat, node in zip(new.trees, ref.trees):
+            assert flat_preorder(flat) == list(node.preorder())
+        assert np.array_equal(new.decision(h, p), ref.decision(h, p))
+
+    def test_candidates_match_np_quantile(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(2, 80))
+            rows = []
+            for kind in rng.integers(0, 4, size=int(rng.integers(1, 6))):
+                if kind == 0:
+                    rows.append(rng.normal(size=n))
+                elif kind == 1:
+                    rows.append(rng.integers(0, int(rng.integers(1, 12)), n).astype(float))
+                elif kind == 2:
+                    rows.append(np.round(rng.normal(size=n), 1))
+                else:
+                    rows.append(np.full(n, rng.normal()))
+            xt = np.vstack(rows)
+            cands, valid, below = split_candidates(np.sort(xt, axis=1), np.array([0]))
+            for row, c, v, b in zip(xt, cands[:, 0], valid[:, 0], below[:, 0]):
+                xs = np.unique(row)
+                mids = (xs[:-1] + xs[1:]) / 2.0
+                want = np.quantile(mids, _QUANTILES) if len(mids) > 8 else mids
+                assert np.array_equal(c[v], want)
+                assert np.array_equal(b[v], (row[:, None] <= want).sum(axis=0))
+
+
+def _fitted(kind, seed=0):
+    h, p, y, _ = _boundary_data(n=300, d=5, seed=seed)
+    model = {
+        "svm": lambda: MonotoneSVM(5, seed=seed, epochs=20),
+        "xgboost": lambda: MonotoneGBDT(seed=seed, n_rounds=15),
+        "nn": lambda: PlainNN(5, seed=seed, epochs=100),
+    }[kind]()
+    return model.fit(h, p, y), h
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("kind", ["svm", "xgboost", "nn"])
+    def test_matches_serial_search(self, kind):
+        """The p-grid answer equals the one-row binary search (monotone
+        models) or linear scan (the NN) at both tuner thresholds."""
+        model, h = _fitted(kind)
+        for p_max in (12, 100):
+            scale = lambda q: np.asarray(q, dtype=float) / p_max  # noqa: E731
+            for row in h[:25]:
+                for thr in (0.5, 0.35):
+                    want = reference_search(model, row, p_max, scale, thr)
+                    assert min_safe_parallelism(model, row, p_max, scale, threshold=thr) == want
+                both = min_safe_parallelism(model, row, p_max, scale, threshold=(0.5, 0.35))
+                assert both == [
+                    min_safe_parallelism(model, row, p_max, scale, threshold=0.5),
+                    min_safe_parallelism(model, row, p_max, scale, threshold=0.35),
+                ]
+
+    @pytest.mark.parametrize("labels", ["boundary", "bump"])
+    def test_gbdt_nonincreasing_over_p_grid(self, labels):
+        """Every tree's output is non-increasing in p under the leaf
+        bounds, and so is the summed, squashed ensemble, for any h."""
+        h, p, y, w = _tied_data(3, labels=labels)
+        model = MonotoneGBDT(seed=1, n_rounds=20).fit(h, p, y, sample_weight=w)
+        grid = np.arange(1, 101) / 100.0
+        for row in np.random.default_rng(0).normal(size=(40, h.shape[1])):
+            assert np.all(np.diff(model.predict_proba(row, grid)) <= 0)

@@ -61,6 +61,23 @@ class TestPretrainClustered:
         with pytest.raises(ValueError):
             pretrain([], k=1)
 
+    def test_elbow_k_independent_of_record_order(self):
+        """k=None picks k from the distinct structures; shuffling the
+        history (as Spark's collection order does) must not move it. On
+        these nine structures an elbow run in record order picks k = 3
+        for one of the two shuffles and k = 2 for the other."""
+        cat = full_catalogue("flink")
+        names = [
+            "pqp_3way_30", "pqp_3way_20", "pqp_3way_15", "pqp_2way_6", "pqp_2way_13",
+            "pqp_2way_4", "nexmark_q8", "nexmark_q3", "nexmark_q1",
+        ]
+        hist = generate_history_local([cat[n] for n in names], n_per_workload=1, seed=5)
+        ks = set()
+        for s in (0, 3):
+            order = np.random.default_rng(s).permutation(len(hist))
+            ks.add(len(pretrain([hist[i] for i in order], k=None, epochs=1, seed=0).encoders))
+        assert len(ks) == 1
+
 
 class TestWarmup:
     def test_warmup_dataset(self, bundle):

@@ -28,6 +28,15 @@ class TestCostModel:
         high = {o: 40 for o in wl.dag.tunable_operators()}
         assert model.predict(wl.dag, rates, low) > model.predict(wl.dag, rates, high)
 
+    def test_predict_many_matches_predict(self, setup):
+        cat, hist, model = setup
+        wl = cat["pqp_2way_0"]
+        rates = wl.rates(6)
+        cands = [{o: p for o in wl.dag.tunable_operators()} for p in (1, 7, 30)]
+        assert model.predict_many(wl.dag, rates, cands) == [
+            model.predict(wl.dag, rates, c) for c in cands
+        ]
+
     def test_deterministic(self, setup):
         cat, hist, model = setup
         wl = cat["pqp_linear_0"]
